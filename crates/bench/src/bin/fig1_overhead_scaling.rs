@@ -4,7 +4,8 @@
 //! closed-loop, and concurrent invocations are achieved by using multiple
 //! client threads. All invocations are warm starts" on a 48-core server.
 //! Overhead = end-to-end latency − function execution time; the figure
-//! plots p50 and p99 for OpenWhisk and Ilúvatar.
+//! plots p50 and p99 for OpenWhisk and Ilúvatar, timed in µs and printed
+//! in ms.
 //!
 //! Usage: `cargo run --release -p iluvatar-bench --bin fig1_overhead_scaling
 //! [--full]`. Quick mode uses fewer invocations per point.
@@ -66,7 +67,7 @@ fn main() {
         let ilu_over: Vec<f64> = ilu_out
             .iter()
             .filter(|o| !o.dropped && !o.cold)
-            .map(|o| o.overhead_ms() as f64)
+            .map(|o| o.overhead_us() as f64 / 1_000.0)
             .collect();
 
         // ---- OpenWhisk model, same environment -------------------------
@@ -95,15 +96,15 @@ fn main() {
         let ow_over: Vec<f64> = ow_out
             .iter()
             .filter(|o| !o.dropped && !o.cold)
-            .map(|o| o.overhead_ms() as f64)
+            .map(|o| o.overhead_us() as f64 / 1_000.0)
             .collect();
 
         rows.push(vec![
             clients.to_string(),
-            format!("{:.2}", pctl(&ilu_over, 0.5)),
-            format!("{:.2}", pctl(&ilu_over, 0.99)),
-            format!("{:.2}", pctl(&ow_over, 0.5)),
-            format!("{:.2}", pctl(&ow_over, 0.99)),
+            format!("{:.3}", pctl(&ilu_over, 0.5)),
+            format!("{:.3}", pctl(&ilu_over, 0.99)),
+            format!("{:.3}", pctl(&ow_over, 0.5)),
+            format!("{:.3}", pctl(&ow_over, 0.99)),
         ]);
     }
 

@@ -233,12 +233,16 @@ pub struct LifecycleConfig {
 /// append deadline.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WalConfig {
-    /// Fsync policy: `"never"`, `"group"` (amortized group commit every
-    /// `group_ms`), or `"always"` (fsync per record).
+    /// Fsync policy: `"never"`, `"group"` (group commit: an accepting or
+    /// completing append kicks the flusher and waits for the fsync that
+    /// covers it, shared with every append that landed meanwhile), or
+    /// `"always"` (fsync per record).
     #[serde(default)]
     pub fsync: String,
-    /// Group-commit flush interval, ms, when `fsync = "group"`. 0 selects
-    /// the built-in default of 2.
+    /// Backstop flush interval, ms, when `fsync = "group"`. It bounds only
+    /// records nobody waits on (dequeues, sheds, lease records, abandoned
+    /// enqueue retractions); waiting appends are synced on demand. 0
+    /// selects the built-in default of 2.
     #[serde(default)]
     pub group_ms: u64,
     /// What to do when the write ladder (retry → rotate) is exhausted:

@@ -19,10 +19,10 @@
 //!
 //! Durability contract: an invocation is *accepted* only after its
 //! `Enqueued` record hit the log per the active [`FsyncPolicy`]
-//! (`never` = flushed to the OS, `group(ms)` = covered by the next group
-//! fsync, `always` = fsynced inline). Completions whose record did not land
-//! before a crash are re-enqueued and re-executed on recovery —
-//! at-least-once execution, exactly-once accounting.
+//! (`never` = flushed to the OS, `group(ms)` = covered by a group fsync the
+//! waiting append itself kicks off, `always` = fsynced inline). Completions
+//! whose record did not land before a crash are re-enqueued and re-executed
+//! on recovery — at-least-once execution, exactly-once accounting.
 //!
 //! I/O errors no longer brick the log. The recovery ladder runs bounded
 //! retries with backoff, then rotates to a fresh segment, and only then
@@ -403,8 +403,11 @@ pub enum FsyncPolicy {
     /// Flush to the OS only (the pre-hardening behavior). Fast; loses the
     /// OS cache on power failure.
     Never,
-    /// A background flusher fsyncs every `interval_ms`; acceptance-path
-    /// appends wait for the covering group fsync (group commit).
+    /// Group commit on a background flusher. An acceptance-path append
+    /// (`Enqueued`/`Completed`) kicks the flusher and waits for the covering
+    /// fsync; appends that land while a sync is in flight share the next
+    /// one. `interval_ms` only bounds how long records nobody waits on
+    /// (dequeues, sheds, lease records, retractions) stay unsynced.
     Group { interval_ms: u64 },
     /// fsync inline on every append.
     Always,
@@ -577,11 +580,28 @@ struct CommitProgress {
     poisoned: bool,
 }
 
+/// What the flusher thread wakes for, besides its backstop tick.
+#[derive(Default)]
+struct FlusherWake {
+    /// A waiting append wrote a frame: sync now.
+    kicked: bool,
+    shutdown: bool,
+}
+
 struct GroupCommit {
     progress: Mutex<CommitProgress>,
     cv: Condvar,
-    shutdown: Mutex<bool>,
-    shutdown_cv: Condvar,
+    wake: Mutex<FlusherWake>,
+    wake_cv: Condvar,
+}
+
+impl GroupCommit {
+    /// Ask the flusher for a pass now. A kick that lands mid-pass is kept,
+    /// so frames written during a sync are covered by the very next pass.
+    fn kick(&self) {
+        self.wake.lock().kicked = true;
+        self.wake_cv.notify_one();
+    }
 }
 
 /// Observer of WAL I/O health transitions (`wal_io` telemetry bridge).
@@ -851,12 +871,14 @@ impl Inner {
         (AppendOutcome::Landed, seq)
     }
 
-    /// Wait for the group fsync covering `seq`. On deadline: mark enqueues
-    /// abandoned (the flusher retracts them) and shed the caller.
+    /// Kick the flusher and wait for the group fsync covering `seq`. On
+    /// deadline: mark enqueues abandoned (the flusher retracts them) and
+    /// shed the caller.
     fn wait_group(&self, seq: u64, rec: &WalRecord) -> AppendOutcome {
         let Some(g) = self.group.as_ref() else {
             return AppendOutcome::Landed;
         };
+        g.kick();
         let dl = self.opts.append_deadline_ms;
         let deadline = (dl > 0).then(|| Instant::now() + Duration::from_millis(dl));
         let mut p = g.progress.lock();
@@ -864,7 +886,7 @@ impl Inner {
             if p.synced >= seq {
                 return AppendOutcome::Landed;
             }
-            if p.failed >= seq {
+            if p.failed >= seq || p.poisoned {
                 return if p.poisoned {
                     AppendOutcome::Poisoned
                 } else {
@@ -1005,8 +1027,8 @@ impl Wal {
         let group = matches!(opts.fsync, FsyncPolicy::Group { .. }).then(|| GroupCommit {
             progress: Mutex::new(CommitProgress::default()),
             cv: Condvar::new(),
-            shutdown: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
+            wake: Mutex::new(FlusherWake::default()),
+            wake_cv: Condvar::new(),
         });
         let inner = Arc::new(Inner {
             path: path.to_path_buf(),
@@ -1031,6 +1053,8 @@ impl Wal {
             group,
             abandoned: Mutex::new(Vec::new()),
         });
+        // The flusher syncs as soon as a waiting append kicks it; the tick is
+        // only the backstop for records nobody waits on.
         let flusher = if let FsyncPolicy::Group { interval_ms } = inner.opts.fsync {
             let tick = Duration::from_millis(interval_ms.max(1));
             let inner2 = Arc::clone(&inner);
@@ -1040,11 +1064,12 @@ impl Wal {
                     .spawn(move || loop {
                         let g = inner2.group.as_ref().unwrap();
                         let stop = {
-                            let mut s = g.shutdown.lock();
-                            if !*s {
-                                g.shutdown_cv.wait_for(&mut s, tick);
+                            let mut s = g.wake.lock();
+                            if !s.kicked && !s.shutdown {
+                                g.wake_cv.wait_for(&mut s, tick);
                             }
-                            *s
+                            s.kicked = false;
+                            s.shutdown
                         };
                         inner2.group_sync_pass();
                         if stop {
@@ -1096,8 +1121,9 @@ impl Wal {
     }
 
     /// Only acceptance (`Enqueued`) and the result barrier (`Completed`)
-    /// wait for the covering group fsync; dequeues/sheds/snapshots are
-    /// books-only and ride the next tick.
+    /// kick the flusher and wait for the covering group fsync;
+    /// dequeues/sheds/lease records are books-only and ride the next pass
+    /// or the backstop tick.
     fn must_wait(rec: &WalRecord) -> bool {
         matches!(
             rec,
@@ -1179,16 +1205,15 @@ impl Wal {
 
     /// Crash simulation: all further appends are dropped, as if the process
     /// had died at this instant. Used by `Worker::kill` and the chaos
-    /// harness; never by graceful drain.
+    /// harness; never by graceful drain. Group-commit waiters are woken
+    /// with `Poisoned` first, without waiting out an fsync in flight: a
+    /// dead process acknowledges nothing.
     pub fn poison(&self) {
-        self.inner.writer.lock().poisoned = true;
         if let Some(g) = self.inner.group.as_ref() {
-            let written = self.inner.writer.lock().written_seq;
-            let mut p = g.progress.lock();
-            p.failed = p.failed.max(written);
-            p.poisoned = true;
+            g.progress.lock().poisoned = true;
             g.cv.notify_all();
         }
+        self.inner.writer.lock().poisoned = true;
     }
 
     pub fn is_poisoned(&self) -> bool {
@@ -1224,8 +1249,8 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         if let Some(g) = self.inner.group.as_ref() {
-            *g.shutdown.lock() = true;
-            g.shutdown_cv.notify_all();
+            g.wake.lock().shutdown = true;
+            g.wake_cv.notify_all();
         }
         if let Some(h) = self.flusher.take() {
             let _ = h.join();
@@ -1452,11 +1477,12 @@ mod tests {
     }
 
     /// Scripted failures: errors write/sync ops whose 0-based occurrence
-    /// index is in the set.
+    /// index is in the set. Every sync takes at least `sync_delay_ms`.
     #[derive(Default)]
     struct Script {
         fail_writes: Vec<u64>,
         fail_syncs: Vec<u64>,
+        sync_delay_ms: u64,
         writes: AtomicU64,
         syncs: AtomicU64,
     }
@@ -1484,6 +1510,7 @@ mod tests {
         }
         fn sync(&mut self) -> io::Result<()> {
             let n = self.script.syncs.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_millis(self.script.sync_delay_ms));
             if self.script.fail_syncs.contains(&n) {
                 return Err(io::Error::other("injected fsync error"));
             }
@@ -2012,6 +2039,164 @@ mod tests {
             "the shed enqueue was retracted, never to be replayed as pending"
         );
         assert_eq!(st.counters.failed, 1, "retraction books as a failure");
+        cleanup(&p);
+    }
+
+    fn scripted_group_wal(
+        name: &str,
+        script: Script,
+        on_error: WalOnError,
+    ) -> (PathBuf, Arc<Script>, Arc<Wal>) {
+        let p = tmp(name);
+        let script = Arc::new(script);
+        let storage = Arc::new(ScriptedStorage {
+            real: RealStorage,
+            script: Arc::clone(&script),
+        });
+        // A backstop tick far longer than any wait below: only kicks can
+        // explain a prompt commit.
+        let opts = WalOptions {
+            fsync: FsyncPolicy::Group { interval_ms: 1_000 },
+            on_error,
+            retry_limit: 0,
+            ..WalOptions::default()
+        };
+        let wal = Arc::new(Wal::open_with(&p, opts, storage).unwrap());
+        (p, script, wal)
+    }
+
+    /// Runs `append` on its own thread and returns its outcome, or `None`
+    /// if it is still blocked after `within` (so a hang fails, not wedges,
+    /// the test).
+    fn append_within(wal: &Arc<Wal>, rec: WalRecord, within: Duration) -> Option<AppendOutcome> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let wal = Arc::clone(wal);
+        std::thread::spawn(move || {
+            let out = wal.append(&rec);
+            drop(wal); // before replying, so the caller may take sole ownership
+            let _ = tx.send(out);
+        });
+        rx.recv_timeout(within).ok()
+    }
+
+    #[test]
+    fn group_commit_is_kicked_by_the_waiter_not_the_tick() {
+        let (p, script, wal) = scripted_group_wal("kick", Script::default(), WalOnError::Reject);
+        for i in 1..=3u64 {
+            let t0 = Instant::now();
+            let out = wal.append(&WalRecord::Enqueued {
+                inv: inv(i, "f-1", None),
+            });
+            assert_eq!(out, AppendOutcome::Landed);
+            assert!(
+                t0.elapsed() < Duration::from_millis(250),
+                "append {i} waited {:?} against a 1 s tick",
+                t0.elapsed()
+            );
+        }
+        assert!(
+            script.syncs.load(Ordering::Relaxed) >= 3,
+            "each wait was covered by a sync"
+        );
+        // A record nobody waits on does not kick: it rides the backstop.
+        let before = script.syncs.load(Ordering::Relaxed);
+        assert!(wal.append(&WalRecord::Dequeued { id: 1 }).is_landed());
+        assert_eq!(script.syncs.load(Ordering::Relaxed), before);
+        drop(Arc::try_unwrap(wal).ok().expect("sole owner"));
+        assert_eq!(replay(&p).unwrap().pending.len(), 3);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn concurrent_waiters_share_group_fsyncs() {
+        let script = Script {
+            sync_delay_ms: 2,
+            ..Default::default()
+        };
+        let (p, script, wal) = scripted_group_wal("share", script, WalOnError::Reject);
+        const PER_THREAD: u64 = 20;
+        let threads: Vec<_> = (0..2u64)
+            .map(|t| {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let id = 1 + t * PER_THREAD + i;
+                        let out = wal.append(&WalRecord::Enqueued {
+                            inv: inv(id, "f-1", None),
+                        });
+                        assert_eq!(out, AppendOutcome::Landed);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let syncs = script.syncs.load(Ordering::Relaxed);
+        assert!(
+            syncs < 2 * PER_THREAD,
+            "{syncs} syncs for {} waiting records: no fsync was shared",
+            2 * PER_THREAD
+        );
+        drop(Arc::try_unwrap(wal).ok().expect("sole owner"));
+        assert_eq!(replay(&p).unwrap().pending.len(), 2 * PER_THREAD as usize);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn fsync_failure_under_degrade_wakes_the_waiter() {
+        // The flusher's sync (0) and the post-rotation resync (1) both fail.
+        let script = Script {
+            fail_syncs: vec![0, 1],
+            ..Default::default()
+        };
+        let (p, _script, wal) = scripted_group_wal("degrade-wake", script, WalOnError::Degrade);
+        let rec = WalRecord::Enqueued {
+            inv: inv(1, "f-1", None),
+        };
+        assert_eq!(
+            append_within(&wal, rec, Duration::from_millis(500)),
+            Some(AppendOutcome::NotDurable)
+        );
+        assert!(wal.is_degraded());
+        drop(Arc::try_unwrap(wal).ok().expect("sole owner"));
+        cleanup(&p);
+    }
+
+    #[test]
+    fn poison_wakes_a_waiter_stuck_behind_an_fsync() {
+        let script = Script {
+            sync_delay_ms: 1_000,
+            ..Default::default()
+        };
+        let (p, script, wal) = scripted_group_wal("poison-wake", script, WalOnError::Reject);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || {
+                let _ = tx.send(wal.append(&WalRecord::Enqueued {
+                    inv: inv(1, "f-1", None),
+                }));
+            })
+        };
+        // Poison once the flusher is inside the stalled sync.
+        while script.syncs.load(Ordering::Relaxed) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        let poisoner = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.poison())
+        };
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(600)).ok(),
+            Some(AppendOutcome::Poisoned),
+            "a crash acknowledges nothing, and does not wait out the fsync"
+        );
+        assert!(t0.elapsed() < Duration::from_millis(600));
+        waiter.join().unwrap();
+        poisoner.join().unwrap();
+        drop(Arc::try_unwrap(wal).ok().expect("sole owner"));
         cleanup(&p);
     }
 }

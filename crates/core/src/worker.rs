@@ -139,6 +139,8 @@ struct Shared {
     /// Currently executing invocations per function (herd suppression).
     running_fn: iluvatar_sync::ShardedMap<String, u64>,
     running: AtomicUsize,
+    /// Popped from the queue, waiting for a run slot (not yet `running`).
+    dispatching: AtomicUsize,
     completed: AtomicU64,
     dropped: AtomicU64,
     failed: AtomicU64,
@@ -375,6 +377,7 @@ impl Worker {
             metrics: SystemMetrics::new(PowerModel::default(), Arc::clone(&clock)),
             running_fn: iluvatar_sync::ShardedMap::new(),
             running: AtomicUsize::new(0),
+            dispatching: AtomicUsize::new(0),
             completed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -690,6 +693,7 @@ impl Worker {
                 }
                 s.queue.note_bypass();
                 s.journal.record(trace_id, TraceEventKind::Bypassed);
+                s.running.fetch_add(1, Ordering::Relaxed);
                 let s2 = Arc::clone(s);
                 std::thread::Builder::new()
                     .name("iluvatar-bypass".into())
@@ -797,7 +801,9 @@ impl Worker {
             dropped_admission: s.admission.dropped_admission(),
             quarantine_released: s.quarantine_released.load(Ordering::Relaxed),
             lifecycle: s.lifecycle_label().to_string(),
-            drain_pending: (s.queue.len() + s.running.load(Ordering::Relaxed)) as u64,
+            drain_pending: (s.queue.len()
+                + s.dispatching.load(Ordering::Relaxed)
+                + s.running.load(Ordering::Relaxed)) as u64,
             queue_delay_ms: s.last_queue_delay_ms.load(Ordering::Relaxed),
             cache_hits,
             cache_misses,
@@ -1200,6 +1206,9 @@ fn monitor_loop(s: Arc<Shared>) {
             // Dequeued/Completed record) replays it after recovery.
             return;
         }
+        // Counted from the moment it leaves the queue: a drain must never
+        // find the item in neither `queue` nor `running`.
+        s.dispatching.fetch_add(1, Ordering::Relaxed);
         let dequeued_at = s.clock.now_ms();
         // Publish the observed queue delay — the overload-shedding signal.
         s.last_queue_delay_ms.store(
@@ -1210,6 +1219,8 @@ fn monitor_loop(s: Arc<Shared>) {
         let _ = s.wal_append(&WalRecord::Dequeued { id: item.trace_id });
         // Hold dispatch until a run slot frees up — the concurrency limit.
         let permit = s.regulator.acquire();
+        s.running.fetch_add(1, Ordering::Relaxed);
+        s.dispatching.fetch_sub(1, Ordering::Relaxed);
         let spawn_g = s.spans.time(names::SPAWN_WORKER);
         let s2 = Arc::clone(&s);
         let res = std::thread::Builder::new()
@@ -1221,6 +1232,7 @@ fn monitor_loop(s: Arc<Shared>) {
         drop(spawn_g);
         if res.is_err() {
             // Thread spawn failure: treat as a drop.
+            s.running.fetch_sub(1, Ordering::Relaxed);
             s.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1260,9 +1272,9 @@ fn init_cost(s: &Shared, reg: &Registration) -> f64 {
     }
 }
 
-/// The dispatch-side hot path.
+/// The dispatch-side hot path. The caller has already counted the item in
+/// `running`; this releases it.
 fn run_invocation(s: &Shared, item: QueuedInvocation, dequeued_at: TimeMs) {
-    s.running.fetch_add(1, Ordering::Relaxed);
     s.running_fn
         .update_or_insert(item.fqdn.clone(), || 0, |n| *n += 1);
     let outcome = execute(s, &item, dequeued_at);
@@ -1378,6 +1390,7 @@ fn maybe_finalize(s: &Shared) {
         return;
     }
     if !s.queue.is_empty()
+        || s.dispatching.load(Ordering::Relaxed) > 0
         || s.running.load(Ordering::Relaxed) > 0
         || s.retrying.load(Ordering::Relaxed) > 0
     {

@@ -169,6 +169,7 @@ mod tests {
         }
         assert_eq!(hits.load(Ordering::SeqCst), 5);
         assert_eq!(pc.idle_count(s.addr()), 1, "one idle pooled connection");
+        assert_eq!(s.handle().connections(), 1, "all five rode one connection");
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! worker's HTTP API (§3.1). One thread per connection is plenty: an agent
 //! serves exactly one pooled client (the worker), and test deployments see
 //! tens of connections at most.
+//!
+//! Nothing here polls on a timer for new work: the accept thread blocks in
+//! `accept` and is woken for shutdown by a connection to its own address,
+//! so an idle server costs no wakeups and a fresh connection is served as
+//! soon as it arrives.
 
 use crate::message::{Request, Response, Status};
 use crate::parse::{parse_request, ParseOutcome};
@@ -22,20 +27,32 @@ pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    served: Arc<AtomicU64>,
+    counters: Arc<Counters>,
+}
+
+#[derive(Default)]
+struct Counters {
+    served: AtomicU64,
+    connections: AtomicU64,
 }
 
 /// A cheap handle carrying the server address and live counters.
 #[derive(Clone)]
 pub struct ServerHandle {
     pub addr: SocketAddr,
-    served: Arc<AtomicU64>,
+    counters: Arc<Counters>,
 }
 
 impl ServerHandle {
     /// Total requests served so far.
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.counters.served.load(Ordering::Relaxed)
+    }
+
+    /// Total client connections accepted so far (keep-alive reuse shows
+    /// as fewer connections than requests).
+    pub fn connections(&self) -> u64 {
+        self.counters.connections.load(Ordering::Relaxed)
     }
 }
 
@@ -44,20 +61,18 @@ impl HttpServer {
     pub fn start(handler: Handler) -> std::io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        // A short accept timeout lets the accept loop observe shutdown.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let served = Arc::new(AtomicU64::new(0));
+        let counters = Arc::new(Counters::default());
         let stop2 = Arc::clone(&stop);
-        let served2 = Arc::clone(&served);
+        let counters2 = Arc::clone(&counters);
         let accept_thread = std::thread::Builder::new()
             .name(format!("http-accept-{}", addr.port()))
-            .spawn(move || accept_loop(listener, handler, stop2, served2))?;
+            .spawn(move || accept_loop(listener, handler, stop2, counters2))?;
         Ok(Self {
             addr,
             stop,
             accept_thread: Some(accept_thread),
-            served,
+            counters,
         })
     }
 
@@ -68,7 +83,7 @@ impl HttpServer {
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             addr: self.addr,
-            served: Arc::clone(&self.served),
+            counters: Arc::clone(&self.counters),
         }
     }
 
@@ -77,6 +92,9 @@ impl HttpServer {
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
+            // The accept loop blocks in `accept`; a connection to our own
+            // address wakes it to see the stop flag.
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
             let _ = t.join();
         }
     }
@@ -92,21 +110,25 @@ fn accept_loop(
     listener: TcpListener,
     handler: Handler,
     stop: Arc<AtomicBool>,
-    served: Arc<AtomicU64>,
+    counters: Arc<Counters>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        // Blocks until a client connects; `shutdown` connects to wake it.
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
+                counters.connections.fetch_add(1, Ordering::Relaxed);
                 let handler = Arc::clone(&handler);
                 let stop = Arc::clone(&stop);
-                let served = Arc::clone(&served);
+                let counters = Arc::clone(&counters);
                 let _ = std::thread::Builder::new()
                     .name("http-conn".into())
-                    .spawn(move || connection_loop(stream, handler, stop, served));
+                    .spawn(move || connection_loop(stream, handler, stop, counters));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
     }
@@ -116,7 +138,7 @@ fn connection_loop(
     stream: TcpStream,
     handler: Handler,
     stop: Arc<AtomicBool>,
-    served: Arc<AtomicU64>,
+    counters: Arc<Counters>,
 ) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
@@ -133,7 +155,7 @@ fn connection_loop(
                     .map(|v| v.eq_ignore_ascii_case("close"))
                     .unwrap_or(false);
                 let resp = handler(req);
-                served.fetch_add(1, Ordering::Relaxed);
+                counters.served.fetch_add(1, Ordering::Relaxed);
                 // Chaos drop: a handler wrapped by `chaos::wrap_handler` tags
                 // responses to be dropped; close without writing a byte.
                 if resp.header(crate::chaos::DROP_HEADER).is_some() {
@@ -255,6 +277,24 @@ mod tests {
         let mut all = Vec::new();
         let _ = s.read_to_end(&mut all); // server must close, ending the read
         assert!(String::from_utf8_lossy(&all).starts_with("HTTP/1.1 200"));
+    }
+
+    #[test]
+    fn shutdown_without_clients_returns_promptly() {
+        let mut server = echo_server();
+        let handle = server.handle();
+        // Shut down on a helper thread so a missed wake-up fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(500)).is_ok(),
+            "shutdown must wake the blocking accept"
+        );
+        assert_eq!(handle.connections(), 0, "the wake-up is not a client");
     }
 
     #[test]

@@ -31,7 +31,9 @@ use iluvatar_core::exposition::{render_span_histograms, PromWriter};
 use iluvatar_core::InvokeError;
 use iluvatar_dispatch::{DispatchMode, EnqueueError, PullPlane};
 use iluvatar_http::server::Handler;
-use iluvatar_http::{HttpServer, Method, Request, Response, Status, CACHE_HEADER, SEQ_HEADER};
+use iluvatar_http::{
+    HttpServer, Method, Request, Response, ServerHandle, Status, CACHE_HEADER, SEQ_HEADER,
+};
 use iluvatar_sync::{SystemClock, TaskPool};
 use iluvatar_telemetry::{CounterBridge, FlightRecorder, TelemetryBus, TelemetrySink};
 use parking_lot::Mutex;
@@ -704,6 +706,11 @@ impl LbApi {
 
     pub fn addr(&self) -> SocketAddr {
         self.server.addr()
+    }
+
+    /// The HTTP server's live counters (requests served, connections).
+    pub fn handle(&self) -> ServerHandle {
+        self.server.handle()
     }
 
     /// The most recent cluster scrape.

@@ -18,6 +18,8 @@ pub struct FireOutcome {
     pub fqdn: String,
     /// End-to-end client-observed latency, ms.
     pub e2e_ms: u64,
+    /// The same latency, µs.
+    pub e2e_us: u64,
     /// Function execution time reported by the platform, ms.
     pub exec_ms: u64,
     pub cold: bool,
@@ -33,6 +35,12 @@ impl FireOutcome {
     /// Control-plane overhead: client latency minus function execution.
     pub fn overhead_ms(&self) -> u64 {
         self.e2e_ms.saturating_sub(self.exec_ms)
+    }
+
+    /// [`FireOutcome::overhead_ms`] in µs. Sub-millisecond overheads, which
+    /// truncate to 0 in whole ms, stay visible here.
+    pub fn overhead_us(&self) -> u64 {
+        self.e2e_us.saturating_sub(self.exec_ms * 1_000)
     }
 }
 
@@ -80,7 +88,8 @@ pub fn closed_loop(
                     let sent = Instant::now();
                     let sent_at_ms = start.elapsed().as_millis() as u64;
                     let res = target.fire(&fqdn, "{}");
-                    let e2e_ms = sent.elapsed().as_millis() as u64;
+                    let e2e = sent.elapsed();
+                    let (e2e_ms, e2e_us) = (e2e.as_millis() as u64, e2e.as_micros() as u64);
                     if i < cfg.warmup_per_client {
                         continue;
                     }
@@ -88,6 +97,7 @@ pub fn closed_loop(
                         Ok((exec_ms, cold)) => FireOutcome {
                             fqdn: fqdn.clone(),
                             e2e_ms,
+                            e2e_us,
                             exec_ms,
                             cold,
                             dropped: false,
@@ -97,6 +107,7 @@ pub fn closed_loop(
                         Err(_) => FireOutcome {
                             fqdn: fqdn.clone(),
                             e2e_ms,
+                            e2e_us,
                             exec_ms: 0,
                             cold: false,
                             dropped: true,
@@ -204,11 +215,13 @@ impl OpenLoopRunner {
             handles.push(std::thread::spawn(move || {
                 let sent = Instant::now();
                 let res = target.fire_as(&fqdn, &args, tenant.as_deref());
-                let e2e_ms = sent.elapsed().as_millis() as u64;
+                let e2e = sent.elapsed();
+                let (e2e_ms, e2e_us) = (e2e.as_millis() as u64, e2e.as_micros() as u64);
                 match res {
                     Ok((exec_ms, cold)) => FireOutcome {
                         fqdn,
                         e2e_ms,
+                        e2e_us,
                         exec_ms,
                         cold,
                         dropped: false,
@@ -218,6 +231,7 @@ impl OpenLoopRunner {
                     Err(_) => FireOutcome {
                         fqdn,
                         e2e_ms,
+                        e2e_us,
                         exec_ms: 0,
                         cold: false,
                         dropped: true,
@@ -437,6 +451,7 @@ mod tests {
         let o = FireOutcome {
             fqdn: "f-1".into(),
             e2e_ms: 110,
+            e2e_us: 110_400,
             exec_ms: 100,
             cold: false,
             dropped: false,
@@ -444,5 +459,6 @@ mod tests {
             tenant: None,
         };
         assert_eq!(o.overhead_ms(), 10);
+        assert_eq!(o.overhead_us(), 10_400);
     }
 }

@@ -82,7 +82,7 @@ fn main() {
     let mut overheads: Vec<f64> = out
         .iter()
         .filter(|o| !o.dropped)
-        .map(|o| o.overhead_ms() as f64)
+        .map(|o| o.overhead_us() as f64 / 1_000.0)
         .collect();
     overheads.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let p = |q: f64| iluvatar_sync::stats::percentile_of_sorted(&overheads, q);
@@ -91,7 +91,7 @@ fn main() {
         100.0 * cold as f64 / served.max(1) as f64
     );
     println!(
-        "control-plane overhead: p50 {:.1}ms p99 {:.1}ms",
+        "control-plane overhead: p50 {:.3}ms p99 {:.3}ms",
         p(0.5),
         p(0.99)
     );

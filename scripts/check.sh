@@ -175,4 +175,14 @@ echo "=== cache ablation (hit p50 < dispatch p50, >=80% repeat hits) ==="
 # and interleaved tenants on identical fqdn+args must never cross.
 ./target/release/abl_cache
 
+echo "=== perfbench smoke (each workload, 2 s, end-to-end metrics) ==="
+# Stands the real stack up on every benchmark workload over loopback HTTP.
+# perfbench checks its generator and every reply and exits non-zero on a
+# failure, so the transports the hot path rides (blocking accept, pooled
+# lease connections, on-demand group commit) are exercised end to end.
+for workload in warm-direct durable-direct push-mix pull-mix; do
+    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null
+done
+
 echo "all checks passed"

@@ -52,7 +52,7 @@ fn iluvatar_overhead_far_below_openwhisk() {
     let ilu_over: Vec<f64> = ilu
         .iter()
         .filter(|o| !o.dropped && !o.cold)
-        .map(|o| o.overhead_ms() as f64)
+        .map(|o| o.overhead_us() as f64)
         .collect();
 
     // OpenWhisk model, same conditions.
@@ -80,24 +80,24 @@ fn iluvatar_overhead_far_below_openwhisk() {
     let ow_over: Vec<f64> = oww
         .iter()
         .filter(|o| !o.dropped && !o.cold)
-        .map(|o| o.overhead_ms() as f64)
+        .map(|o| o.overhead_us() as f64)
         .collect();
 
     assert!(!ilu_over.is_empty() && !ow_over.is_empty());
     let ilu_p50 = percentile(&ilu_over, 0.5);
     let ow_p50 = percentile(&ow_over, 0.5);
     assert!(
-        ilu_p50 < 10.0,
-        "iluvatar warm overhead should be single-digit ms, got {ilu_p50}"
+        ilu_p50 < 10_000.0,
+        "iluvatar warm overhead should be single-digit ms, got {ilu_p50}us"
     );
     assert!(
         ow_p50 > ilu_p50 * 2.0,
-        "openwhisk median overhead ({ow_p50}ms) must dwarf iluvatar's ({ilu_p50}ms)"
+        "openwhisk median overhead ({ow_p50}us) must dwarf iluvatar's ({ilu_p50}us)"
     );
     let ow_p99 = percentile(&ow_over, 0.99);
     assert!(
-        ow_p99 >= 20.0,
-        "openwhisk p99 should show heavy tails, got {ow_p99}ms"
+        ow_p99 >= 20_000.0,
+        "openwhisk p99 should show heavy tails, got {ow_p99}us"
     );
 }
 

@@ -3,7 +3,7 @@
 use iluvatar::prelude::*;
 use iluvatar_core::config::ConcurrencyConfig;
 use iluvatar_lb::cluster::WorkerHandle;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn worker(name: &str, memory_mb: u64) -> Arc<Worker> {
     let clock = SystemClock::shared();
@@ -87,11 +87,15 @@ fn chbl_forwards_under_load_imbalance() {
         .register_all(FunctionSpec::new("busy", "1").with_timing(3_000, 10))
         .unwrap();
     // Saturate the home worker with slow concurrent invocations; CH-BL
-    // must forward the overflow off the hot home.
+    // must forward the overflow off the hot home. The barrier releases all
+    // twelve together, so they overlap however the threads are scheduled.
+    let start = Arc::new(Barrier::new(12));
     let threads: Vec<_> = (0..12)
         .map(|_| {
             let c = Arc::clone(&cluster);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 let _ = c.invoke("busy-1", "{}");
             })
         })
